@@ -304,12 +304,15 @@ impl Actor for GossipNode {
                 // *received* information failed to advance the member's
                 // counter. Using `now` here would convict every member
                 // during an inbound-starvation gap.
-                let failed: Vec<NodeId> = self
+                let mut failed: Vec<NodeId> = self
                     .members
                     .iter()
                     .filter(|(_, m)| self.last_rx.saturating_sub(m.last_increase) >= t_fail)
                     .map(|(&n, _)| n)
                     .collect();
+                // `members` is a HashMap: sort so same-instant removals
+                // are observed in the same order in every process.
+                failed.sort_unstable();
                 for n in failed {
                     self.members.remove(&n);
                     self.blacklist.insert(n, now + t_cleanup);
@@ -369,6 +372,57 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].record.node, NodeId(3));
         assert_eq!(v[0].heartbeat_counter, 7);
+    }
+
+    #[test]
+    fn same_sweep_failures_are_observed_in_ascending_id_order() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use tamp_netsim::{collect_effects, Effect, ObservationKind};
+        use tamp_topology::HostId;
+
+        let cfg = GossipConfig::default();
+        let t_fail = cfg.t_fail();
+        let mut node = GossipNode::new(NodeId(1), cfg);
+        let mut rng = StdRng::seed_from_u64(7);
+        let me = HostId(1);
+        let entry = |id: u32, counter: u64| GossipEntry {
+            record: NodeRecord::new(NodeId(id), 1),
+            heartbeat_counter: counter,
+        };
+        let packet = |from: u32, entries: Vec<GossipEntry>| {
+            Message::Gossip(Gossip {
+                from: NodeId(from),
+                entries,
+            })
+        };
+        let meta = PacketMeta::unicast(HostId(50), 0);
+        collect_effects(0, me, &mut rng, |ctx| node.on_start(ctx));
+        // Members heard once at t=1 s, in a scrambled order ...
+        let silent = [40, 3, 17, 8, 25, 11, 33, 2];
+        collect_effects(SECS, me, &mut rng, |ctx| {
+            node.on_packet(
+                ctx,
+                meta,
+                &packet(50, silent.map(|id| entry(id, 1)).to_vec()),
+            )
+        });
+        // ... then only node 50 keeps advancing, so all of them go stale
+        // together and fail in the same sweep.
+        let later = SECS + t_fail;
+        collect_effects(later, me, &mut rng, |ctx| {
+            node.on_packet(ctx, meta, &packet(50, vec![entry(50, 2)]))
+        });
+        let effects = collect_effects(later, me, &mut rng, |ctx| node.on_timer(ctx, T_SWEEP));
+        let removed: Vec<u32> = effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Observe(ObservationKind::Removed(n)) => Some(n.0),
+                _ => None,
+            })
+            .collect();
+        let mut expected = silent.to_vec();
+        expected.sort_unstable();
+        assert_eq!(removed, expected);
     }
 
     #[test]

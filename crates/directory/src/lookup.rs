@@ -110,8 +110,33 @@ impl Directory {
                 }
             }
         }
-        out.sort_by_key(|m| (m.node, m.service.clone()));
+        out.sort_by(|a, b| (a.node, &a.service).cmp(&(b.node, &b.service)));
         out
+    }
+
+    /// The request router's resolver: the node id of every live entry
+    /// with a service declared under exactly the name `service` that
+    /// hosts `partition`, in directory order (node id ascending, then
+    /// record order within a node), once per matching declaration.
+    ///
+    /// `service` is a literal name, never a pattern: `"ind.x"` matches
+    /// only a service named `ind.x`. For a literal name this yields the
+    /// same ids, in the same order and multiplicity, as
+    /// `lookup_service(service, &partition.to_string())`, without
+    /// compiling a query or building [`Machine`] records. An unknown
+    /// service yields nothing.
+    pub fn resolve<'a>(
+        &'a self,
+        service: &'a str,
+        partition: u16,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        self.entries().flat_map(move |e| {
+            e.record
+                .services
+                .iter()
+                .filter(move |s| s.name == service && s.partitions.contains(partition))
+                .map(move |_| e.record.node)
+        })
     }
 
     /// Convenience: lookup by raw strings (compiles the query each call).
@@ -230,6 +255,37 @@ mod tests {
         let d = directory();
         let all = d.lookup_service("doc", "*").unwrap();
         assert_eq!(all.len(), 2);
+    }
+
+    #[test]
+    fn resolve_is_exact_name_in_directory_order() {
+        let d = directory();
+        let ids = |svc: &str, p: u16| d.resolve(svc, p).map(|n| n.0).collect::<Vec<_>>();
+        assert_eq!(ids("index", 1), vec![1]);
+        assert_eq!(ids("doc", 2), vec![3]);
+        assert_eq!(ids("doc", 0), vec![2]);
+        assert!(ids("cache", 0).is_empty());
+        assert!(ids("index", 9).is_empty());
+    }
+
+    #[test]
+    fn resolve_takes_regex_metacharacters_literally() {
+        let mut d = directory();
+        let n4 = NodeRecord::new(NodeId(4), 1)
+            .with_service(ServiceDecl::new("ind.x", PartitionSet::parse("0").unwrap()));
+        d.apply_join(n4, Provenance::Direct, 0);
+        // As a pattern, "ind.x" also matches "index" (nodes 1 and 4) ...
+        let nodes: Vec<u32> = d
+            .lookup_service("ind.x", "0")
+            .unwrap()
+            .iter()
+            .map(|m| m.node.0)
+            .collect();
+        assert_eq!(nodes, vec![1, 4]);
+        // ... but resolve only finds the service literally named "ind.x".
+        assert_eq!(d.resolve("ind.x", 0).collect::<Vec<_>>(), vec![NodeId(4)]);
+        // A malformed pattern is just a name that nothing declares.
+        assert_eq!(d.resolve("ind(ex", 0).count(), 0);
     }
 
     #[test]

@@ -81,18 +81,14 @@ impl DirectoryClient {
         self.inner.read().lookup(query)
     }
 
-    /// Resolve `(service, partition)` through the current view: the node
-    /// ids currently believed to host that service partition, in
-    /// directory order. The router-facing form of
-    /// [`lookup_service`](Self::lookup_service): malformed patterns and
-    /// unknown services both resolve to an empty candidate set instead
-    /// of an error, which is what request routing wants.
+    /// Resolve `(service, partition)` through the current view: the
+    /// node ids currently believed to host that service partition. The
+    /// router-facing form of [`Directory::resolve`]: `service` is an
+    /// exact name, not a pattern; ids come in directory order (node id
+    /// ascending, then record order within a node); an unknown service
+    /// resolves to an empty set.
     pub fn resolve(&self, service: &str, partition: u16) -> Vec<NodeId> {
-        self.lookup_service(service, &partition.to_string())
-            .unwrap_or_default()
-            .into_iter()
-            .map(|m| m.node)
-            .collect()
+        self.inner.read().resolve(service, partition).collect()
     }
 
     /// Is this node currently believed alive?

@@ -266,12 +266,8 @@ impl LoadGenNode {
             return;
         };
         let (service, partition) = req.target();
-        let candidates: Vec<NodeId> = self
-            .inner
-            .resolve_service(service, partition)
-            .into_iter()
-            .filter(|n| !req.tried.contains(n))
-            .collect();
+        let mut candidates = self.inner.resolve_service(service, partition);
+        candidates.retain(|n| !req.tried.contains(n));
 
         if !candidates.is_empty() && req.attempts < self.cfg.max_local_attempts {
             let i = (self.rng.next_u64() % candidates.len() as u64) as usize;

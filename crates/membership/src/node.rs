@@ -300,11 +300,16 @@ impl MembershipNode {
 
     /// Resolve `(service, partition)` through this node's live view:
     /// the node ids currently believed to host that service partition.
-    /// The view-resolution entry point used by request routers
-    /// (gateways, the `tamp-load` generator) — equivalent to
-    /// `directory_client().resolve(...)` without constructing a client.
+    /// The view-resolution entry point used by request routers (the
+    /// `tamp-load` generator, neptune gateways, the proxy's backend
+    /// pick). Same contract
+    /// as [`tamp_directory::Directory::resolve`]: `service` is an exact
+    /// name, ids come in directory order (node id ascending, then record
+    /// order within a node), and an unknown service resolves to an
+    /// empty set.
     pub fn resolve_service(&self, service: &str, partition: u16) -> Vec<NodeId> {
-        self.directory.client().resolve(service, partition)
+        self.directory
+            .read(|d| d.resolve(service, partition).collect())
     }
 
     /// Command queue for mutating this node's published services and

@@ -329,13 +329,8 @@ impl GatewayNode {
         };
         let step = self.cfg.workflow.steps[q.step].clone();
         let s = &q.subs[sub];
-        let candidates: Vec<NodeId> = self
-            .inner
-            .directory_client()
-            .resolve(&step.service, s.partition)
-            .into_iter()
-            .filter(|n| !s.tried.contains(n))
-            .collect();
+        let mut candidates = self.inner.resolve_service(&step.service, s.partition);
+        candidates.retain(|n| !s.tried.contains(n));
 
         let local_exhausted = candidates.is_empty() || s.attempts >= self.cfg.max_local_attempts;
         if !local_exhausted {

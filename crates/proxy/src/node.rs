@@ -367,16 +367,12 @@ impl ProxyNode {
             }
         } else if req.hops_left == 1 {
             // Step (3): pick a local backend instance.
-            let machines = self
-                .inner
-                .directory_client()
-                .lookup_service(&req.service, &req.partition.to_string())
-                .unwrap_or_default();
-            let target = if machines.is_empty() {
+            let backends = self.inner.resolve_service(&req.service, req.partition);
+            let target = if backends.is_empty() {
                 None
             } else {
-                let i = ctx.rand_below(machines.len() as u64) as usize;
-                Some(machines[i].node)
+                let i = ctx.rand_below(backends.len() as u64) as usize;
+                Some(backends[i])
             };
             match target {
                 Some(node) => {
